@@ -1,8 +1,8 @@
 # Convenience targets for the J-Machine reproduction.
 
 .PHONY: install test bench perfsmoke telemetry-gate chaos-smoke \
-	trace-smoke parallel-smoke snapshot-smoke live-smoke service-smoke \
-	fabric-smoke trajectory check paper report examples clean
+	trace-smoke snapshot-smoke live-smoke service-smoke fabric-smoke \
+	trajectory check paper report examples clean
 
 install:
 	pip install -e .
@@ -42,12 +42,6 @@ chaos-smoke:
 trace-smoke:
 	PYTHONPATH=src python benchmarks/bench_critical_path.py --smoke
 
-# Parallel-backend smoke: a small LCS app and a compute-grid workload,
-# each run 2-sharded and asserted bit-identical to the serial loop
-# (docs/PERFORMANCE.md, "Parallel backend").
-parallel-smoke:
-	PYTHONPATH=src python benchmarks/bench_parallel_speedup.py --smoke
-
 # Checkpoint/restore smoke: kill each simulation level at its first
 # periodic save, resume in a fresh process, and assert the sha256
 # telemetry digest matches an uninterrupted run; records save/restore
@@ -72,9 +66,8 @@ service-smoke:
 	PYTHONPATH=src python benchmarks/service_smoke.py --smoke
 
 # Fabric-observatory smoke: transpose-pattern midplane hotspot
-# detection, probe-on/off event-digest equality, serial-vs-parallel
-# report exactness, and the contention-model calibration fit
-# (docs/OBSERVABILITY.md §8).
+# detection, probe-on/off event-digest equality, and the
+# contention-model calibration fit (docs/OBSERVABILITY.md §8).
 fabric-smoke:
 	PYTHONPATH=src python benchmarks/fabric_smoke.py --smoke
 
@@ -84,10 +77,10 @@ trajectory:
 	PYTHONPATH=src python -m repro.bench trajectory
 
 # The full gate: correctness, throughput, telemetry overhead, chaos,
-# causal tracing, parallel determinism, checkpoint/restore, live
-# monitoring, fault-tolerant service, fabric observatory.
-check: test telemetry-gate chaos-smoke trace-smoke parallel-smoke \
-	snapshot-smoke live-smoke service-smoke fabric-smoke
+# causal tracing, checkpoint/restore, live monitoring, fault-tolerant
+# service, fabric observatory.
+check: test telemetry-gate chaos-smoke trace-smoke snapshot-smoke \
+	live-smoke service-smoke fabric-smoke
 
 # Regenerate every table and figure at the paper's sizes (slow).
 paper:

@@ -132,14 +132,13 @@ def run_cycle_lcs(
     params: LcsParams = LcsParams(a_len=32, b_len=64),
     max_cycles: int = 20_000_000,
     stop: str = "predicate",
-    parallel_shards: int = 0,
 ) -> CycleLcsResult:
     """Run assembly LCS on a cycle-accurate machine and verify it.
 
     ``stop="quiescent"`` runs to machine quiescence instead of stopping
     when the done flag is observed (the cycle count then includes the
-    final drain); with no per-cycle predicate the run is eligible for
-    the sharded parallel backend, opted into via ``parallel_shards``.
+    final drain); with no per-cycle predicate the machine can batch
+    quiet fabric windows through ``Fabric.advance``.
     """
     if params.a_len % n_nodes:
         raise ConfigurationError("a_len must divide evenly across nodes")
@@ -147,8 +146,7 @@ def run_cycle_lcs(
     a, b = generate_strings(params)
 
     machine = JMachine(MachineConfig(dims=Mesh3D.for_nodes(n_nodes).dims,
-                                     queue_words=4096,
-                                     parallel_shards=parallel_shards))
+                                     queue_words=4096))
     program = assemble(LCS_ASM_SOURCE)
     machine.load(program)
 

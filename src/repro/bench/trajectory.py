@@ -23,7 +23,10 @@ single benchmarks between adjacent runs on the shared host):
 * benchmark *time* minima and snapshot payload *bytes* are gated;
   snapshot save/restore *latencies* are rendered but informational
   (they measure the smoke harness's subprocess environment as much as
-  the code).
+  the code);
+* a series absent from the newest entry (its benchmark was deleted) is
+  rendered as ``retired`` and never gated — its last recorded point is
+  history, not a measurement of the current tree.
 
 Exit status: 0 clean, 1 regression, 2 unusable artifact.
 """
@@ -84,7 +87,9 @@ def load_series(path: str) -> Tuple[Series, Series]:
     """Read one trajectory artifact into ``(gated, informational)``.
 
     Both maps are ``{series-name: [(datetime, value, dirty), ...]}``,
-    oldest first.  Gated series are benchmark ``min`` seconds and
+    oldest first, with one point per entry from the series' first
+    appearance on; an entry that lacks the series contributes a
+    ``None`` value.  Gated series are benchmark ``min`` seconds and
     snapshot payload bytes; informational ones are snapshot
     save/restore latencies.
     """
@@ -98,6 +103,8 @@ def load_series(path: str) -> Tuple[Series, Series]:
     for entry in trajectory:
         stamp = (entry.get("datetime") or "?")[:19]
         dirty = bool(entry.get("dirty"))
+        before = {name: len(points) for series in (gated, info)
+                  for name, points in series.items()}
         for name, stats in (entry.get("benchmarks") or {}).items():
             gated.setdefault(name, []).append(
                 (stamp, stats.get("min"), dirty))
@@ -107,6 +114,10 @@ def load_series(path: str) -> Tuple[Series, Series]:
             for field in ("save_s", "restore_s"):
                 info.setdefault(f"snapshot.{level}.{field}", []).append(
                     (stamp, snap.get(field), dirty))
+        for series in (gated, info):
+            for name, points in series.items():
+                if len(points) == before.get(name):
+                    points.append((stamp, None, dirty))
     return gated, info
 
 
@@ -114,9 +125,12 @@ def check_series(points: List[Tuple[str, Optional[float], bool]]
                  ) -> Tuple[str, Optional[float]]:
     """Judge one gated series; returns ``(verdict, overhead-or-None)``.
 
-    Verdicts: ``"ok"``, ``"REGRESSION"``, or ``"ungated"`` (not enough
-    priors).  The overhead is newest/median(priors) - 1 when computable.
+    Verdicts: ``"ok"``, ``"REGRESSION"``, ``"ungated"`` (not enough
+    priors), or ``"retired"`` (no value in the newest entry).  The
+    overhead is newest/median(priors) - 1 when computable.
     """
+    if points and points[-1][1] is None:
+        return "retired", None
     values = [value for _stamp, value, _dirty in points
               if value is not None]
     if len(values) < 2:

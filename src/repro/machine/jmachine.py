@@ -83,26 +83,12 @@ class JMachine:
         #: installed by the wiring when ``Telemetry(trace=True)``; host
         #: injections then root a fresh trace.
         self._trace_state = None
-        #: Worker-process count for the sharded parallel backend
-        #: (:mod:`repro.parallel`); 0/1 keeps every run on the serial
-        #: loop.  Mutable per-machine so one instance can be compared
-        #: against itself.
-        self.parallel_shards = self.config.parallel_shards
-        #: Why the last run stayed serial despite ``parallel_shards``
-        #: (set by :func:`repro.parallel.machine.run_parallel`).
-        self._parallel_skip_reason: Optional[str] = None
-        #: Lifetime count of parallel-attempt fallbacks (exported as the
-        #: ``machine.parallel.skips`` metric; each one also emits a
-        #: ``parallel-skip`` telemetry event).
-        self._parallel_skips = 0
         #: Optional :class:`~repro.snapshot.CheckpointPolicy`; when set,
-        #: the run loops save periodic checkpoints (serial: at the top of
-        #: the loop; parallel: at epoch-barrier idle points).
+        #: the run loop saves periodic checkpoints at the top of the loop.
         self.checkpoint = None
         #: Optional :class:`~repro.telemetry.live.LiveSampler`; when
-        #: set, the run loops take periodic read-only metric snapshots
-        #: at the same safe points checkpoints use (serial: loop top;
-        #: parallel: epoch barriers).
+        #: set, the run loop takes periodic read-only metric snapshots
+        #: at the same safe point checkpoints use (the loop top).
         self.sampler = None
         #: Attached telemetry rig (see :mod:`repro.telemetry`), or None.
         self.telemetry = telemetry
@@ -324,16 +310,6 @@ class JMachine:
 
     # ------------------------------------------------------------------- run
 
-    @property
-    def parallel_skip_reason(self) -> Optional[str]:
-        """Why the last ``run`` stayed serial despite ``parallel_shards``.
-
-        ``None`` after a run the parallel backend completed (or when it
-        was never requested); otherwise a short sentence such as
-        ``"run(until=...) observes global state every cycle"``.
-        """
-        return self._parallel_skip_reason
-
     def run(
         self,
         max_cycles: int = 1_000_000,
@@ -349,40 +325,11 @@ class JMachine:
         of the run (an illegal instruction, a queue overflow surfaced to
         the host), end-of-run bookkeeping — the telemetry ``run-end``
         event — still happens, so a partial trace is still loadable.
-
-        When :attr:`parallel_shards` requests it (and no ``until``
-        predicate demands per-cycle observation), the run is first
-        attempted on the sharded parallel backend; any run the epoch
-        protocol cannot reproduce bit-exactly falls back to the serial
-        loop on the untouched machine (see :mod:`repro.parallel`).
         """
         limit = self.now + max_cycles
         watchdog = self.watchdog
         if watchdog is not None:
             watchdog.reset(self.now)
-        self._parallel_skip_reason = None
-        try:
-            if self.parallel_shards and self.parallel_shards > 1:
-                if until is not None:
-                    self._note_parallel_skip(
-                        "run(until=...) predicates observe global state "
-                        "every cycle")
-                else:
-                    from ..parallel.machine import run_parallel
-
-                    result = run_parallel(self, limit)
-                    if result is not None:
-                        return result
-            return self._run_serial(limit, until)
-        finally:
-            self._run_ended()
-
-    def _run_serial(
-        self,
-        limit: int,
-        until: Optional[Callable[["JMachine"], bool]] = None,
-    ) -> int:
-        """The reference single-process run loop (see :meth:`run`)."""
         probe: Optional[Callable[[int], bool]] = None
         fired: List[Optional[int]] = [None]
         if until is not None:
@@ -403,7 +350,6 @@ class JMachine:
             # stream: its hooks are all no-ops, so let the loop batch
             # and run ahead exactly as if no engine were attached.
             chaos = None
-        watchdog = self.watchdog
         fabric = self.fabric
         # Quiet-window batching: while nothing but the fabric has
         # work scheduled, hand it a whole window of cycles at once
@@ -413,77 +359,68 @@ class JMachine:
         batchable = until is None and watchdog is None
         checkpoint = self.checkpoint
         sampler = self.sampler
-        while self.now < limit:
-            if checkpoint is not None and checkpoint.due(self.now):
-                # Saving is read-only, so a run with checkpointing
-                # enabled stays bit-identical to one without.
-                checkpoint.save(self, run_limit=limit)
-            if sampler is not None and sampler.due(self.now):
-                # Sampling is likewise read-only (a pull-source metric
-                # snapshot), so it never perturbs the run.  It does not
-                # gate quiet-window batching either: frames observe
-                # whatever cycle the loop lands on.
-                sampler.sample(self, self.now, run_limit=limit)
-            if chaos is not None:
-                chaos.machine_tick(self, self.now)
-            self._commit_deliveries()
-            inj_bound = None
-            if fabric.active:
-                if batchable and chaos is None and fabric.can_batch():
-                    horizon = limit
-                    heap = self._delivery_heap
-                    if heap and heap[0][0] < horizon:
-                        horizon = heap[0][0]
-                    heap = self._proc_heap
-                    if heap and heap[0][0] < horizon:
-                        horizon = heap[0][0]
-                    if horizon > self.now + 1:
-                        self.now = fabric.advance(self.now, horizon)
-                        continue
-                fabric.step(self.now)
-                inj_bound = fabric.injection_quiet_cycles()
-            self._tick_procs(limit, probe, inj_bound)
-            if watchdog is not None:
-                watchdog.poll(self, self.now)
-            if until is not None:
-                fired_at = fired[0]
-                if fired_at is not None and fired_at > self.now:
-                    # The predicate flipped inside a batched block, at
-                    # a virtual time this pass had not reached yet.
-                    # All other work is scheduled strictly later (the
-                    # block deadline guarantees it), so the machine
-                    # state *is* the reference state at that cycle.
-                    self.now = fired_at
-                    return self.now
-                if until(self):
-                    return self.now
-                fired[0] = None
-            if self.fabric.active:
-                self.now += 1
-                continue
-            next_times = []
-            if self._proc_heap:
-                next_times.append(self._proc_heap[0][0])
-            if self._delivery_heap:
-                next_times.append(self._delivery_heap[0][0])
-            if not next_times:
-                return self.now  # quiescent
-            self.now = max(self.now + 1, min(next_times))
-        return self.now
-
-    def _run_ended(self) -> None:
-        """End-of-run hook (normal return or raise): telemetry run-end."""
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.events is not None:
-            telemetry.events.emit("run-end", self.now, -1)
-
-    def _note_parallel_skip(self, reason: str) -> None:
-        """Record one parallel→serial fallback: attribute, counter, event."""
-        self._parallel_skip_reason = reason
-        self._parallel_skips += 1
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.events is not None:
-            telemetry.events.emit("parallel-skip", self.now, -1, name=reason)
+        try:
+            while self.now < limit:
+                if checkpoint is not None and checkpoint.due(self.now):
+                    # Saving is read-only, so a run with checkpointing
+                    # enabled stays bit-identical to one without.
+                    checkpoint.save(self, run_limit=limit)
+                if sampler is not None and sampler.due(self.now):
+                    # Sampling is likewise read-only (a pull-source metric
+                    # snapshot), so it never perturbs the run.  It does not
+                    # gate quiet-window batching either: frames observe
+                    # whatever cycle the loop lands on.
+                    sampler.sample(self, self.now, run_limit=limit)
+                if chaos is not None:
+                    chaos.machine_tick(self, self.now)
+                self._commit_deliveries()
+                inj_bound = None
+                if fabric.active:
+                    if batchable and chaos is None and fabric.can_batch():
+                        horizon = limit
+                        heap = self._delivery_heap
+                        if heap and heap[0][0] < horizon:
+                            horizon = heap[0][0]
+                        heap = self._proc_heap
+                        if heap and heap[0][0] < horizon:
+                            horizon = heap[0][0]
+                        if horizon > self.now + 1:
+                            self.now = fabric.advance(self.now, horizon)
+                            continue
+                    fabric.step(self.now)
+                    inj_bound = fabric.injection_quiet_cycles()
+                self._tick_procs(limit, probe, inj_bound)
+                if watchdog is not None:
+                    watchdog.poll(self, self.now)
+                if until is not None:
+                    fired_at = fired[0]
+                    if fired_at is not None and fired_at > self.now:
+                        # The predicate flipped inside a batched block, at
+                        # a virtual time this pass had not reached yet.
+                        # All other work is scheduled strictly later (the
+                        # block deadline guarantees it), so the machine
+                        # state *is* the reference state at that cycle.
+                        self.now = fired_at
+                        return self.now
+                    if until(self):
+                        return self.now
+                    fired[0] = None
+                if self.fabric.active:
+                    self.now += 1
+                    continue
+                next_times = []
+                if self._proc_heap:
+                    next_times.append(self._proc_heap[0][0])
+                if self._delivery_heap:
+                    next_times.append(self._delivery_heap[0][0])
+                if not next_times:
+                    return self.now  # quiescent
+                self.now = max(self.now + 1, min(next_times))
+            return self.now
+        finally:
+            telemetry = self.telemetry
+            if telemetry is not None and telemetry.events is not None:
+                telemetry.events.emit("run-end", self.now, -1)
 
     # -------------------------------------------------------------- snapshots
 

@@ -48,7 +48,7 @@ from .observatory import FabricProbe
 from .routing import ChannelKey, INJECT, route
 from .stats import NetworkStats
 from .topology import Mesh3D
-from .vectorize import HAVE_NUMPY, SoloLanes
+from .vectorize import PyLanes
 
 __all__ = ["Fabric", "Worm", "BUFFER_PHITS", "FRAMING_PHITS"]
 
@@ -173,10 +173,6 @@ class Fabric:
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self._seq = 0
-        #: Worm-population threshold above which the batched advance
-        #: switches from the per-worm Python loop to the numpy lanes
-        #: (see repro.network.vectorize); ignored without numpy.
-        self.vector_threshold = 24 if HAVE_NUMPY else None
         self.stats = NetworkStats(mesh)
         #: Optional callback fired once per worm when its tail has fully
         #: left the sending interface (frees the node's send buffer).
@@ -489,7 +485,7 @@ class Fabric:
         channel key with another active, pending, or staged worm — and a
         *solo* rest.  Conflict worms go through :meth:`_step_worm`
         per cycle in exact arbitration order; solo worms advance on
-        integer lanes (numpy above :attr:`vector_threshold`), touching
+        integer lanes (:class:`~repro.network.vectorize.PyLanes`), touching
         the owner map only on entry/exit of the batch.  The window ends
         early when a completion schedules a delivery commit the machine
         must observe (``completion + eject_latency``).
@@ -524,10 +520,8 @@ class Fabric:
                 message = worm.message
                 return accept_fn(message.dest, message)
 
-            use_numpy = (self.vector_threshold is not None
-                         and len(solo) >= self.vector_threshold)
-            lanes = SoloLanes(solo, BUFFER_PHITS, probe, use_numpy,
-                              track_stalls=self.probe is not None)
+            lanes = PyLanes(solo, BUFFER_PHITS, probe,
+                            track_stalls=self.probe is not None)
 
         staged = self._staged
         stats = self.stats
@@ -763,7 +757,6 @@ class Fabric:
             "route_cache_hits": self.route_cache_hits,
             "route_cache_misses": self.route_cache_misses,
             "seq": self._seq,
-            "vector_threshold": self.vector_threshold,
             "stats": self.stats,
             "track_channel_load": self.track_channel_load,
             "channel_phits": dict(self.channel_phits),
@@ -777,7 +770,8 @@ class Fabric:
 
         The fabric must have been constructed with the same topology and
         wiring as the captured one; everything in
-        :data:`EXTERNAL_ATTRS` is left untouched.
+        :data:`EXTERNAL_ATTRS` is left untouched.  Keys this method does
+        not read (left in older captures) are ignored.
         """
         self._owner = dict(state["owner"])
         self._active = list(state["active"])
@@ -790,10 +784,6 @@ class Fabric:
         self.route_cache_hits = state["route_cache_hits"]
         self.route_cache_misses = state["route_cache_misses"]
         self._seq = state["seq"]
-        # The threshold is a host capability, not machine state: honour
-        # the captured tuning only where numpy exists at all.
-        self.vector_threshold = (state["vector_threshold"]
-                                 if HAVE_NUMPY else None)
         self.stats = state["stats"]
         self.stats.mesh = self.mesh
         self.track_channel_load = state["track_channel_load"]

@@ -19,9 +19,8 @@ went.  This module adds the missing layer:
     :class:`~repro.network.stats.LatencySummary`'s mergeable fixed
     buckets.
 
-  Probes merge exactly (:meth:`FabricProbe.merge`), which is what lets
-  the sharded parallel backend fold shard-local counters back without
-  drift — serial and ``parallel_shards=N`` runs produce equal reports.
+  Probes merge exactly (:meth:`FabricProbe.merge`): the counters of a
+  run split into segments fold back into those of the whole run.
 
 * :class:`FabricReport` — the analyzer over a probe: top-k saturated
   links, midplane vs. off-midplane split (same X-midplane convention as
@@ -53,7 +52,7 @@ __all__ = [
 
 #: Injection-queue depths span one message to a few hundred under the
 #: radix-sort starvation pattern; powers of two to 1024 keep the
-#: histogram small and exactly mergeable across shards.
+#: histogram small and exactly mergeable across probes.
 QUEUE_OCCUPANCY_BOUNDS = tuple(1 << k for k in range(11))
 
 #: Canonical fabric-metric schema: (name, type, unit, advance site).
@@ -111,9 +110,8 @@ class FabricProbe:
     """Raw per-link/per-router counters for one fabric.
 
     The probe holds no mesh reference and only dicts of ints plus
-    histograms, so it deep-copies and pickles cheaply — the parallel
-    backend clones it with the fabric and the snapshot layer captures it
-    with :meth:`Fabric.state_dict`.
+    histograms, so it deep-copies and pickles cheaply — the snapshot
+    layer captures it with :meth:`Fabric.state_dict`.
 
     Accumulation sites (all in ``fabric.py``/``vectorize.py``, all
     behind ``probe is None`` guards):
@@ -207,7 +205,7 @@ class FabricProbe:
             merged.merge(summary)
         return merged
 
-    # -- merge (the parallel fold-back / multi-run currency) ----------------
+    # -- merge (the multi-run currency) --------------------------------------
 
     def merge(self, other: "FabricProbe") -> None:
         """Fold another probe's counters into this one, exactly."""
@@ -262,7 +260,7 @@ class FabricReport:
 
     Built with :meth:`from_fabric` at the end of (or during) a run; the
     report is plain data — JSON round-trippable, diffable, and equal
-    (``==``) across serial and parallel executions of the same run.
+    (``==``) across repeated executions of the same run.
     """
 
     def __init__(self, dims: Tuple[int, int, int], elapsed: int,

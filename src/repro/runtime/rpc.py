@@ -524,8 +524,8 @@ def _run(
         # Run to machine quiescence instead of watching the done flag.
         # The experiment naturally quiesces once the flag is set (all
         # threads end), so this measures the same work plus the final
-        # drain — and, with no per-cycle predicate, it is eligible for
-        # the sharded parallel backend (see repro.parallel).
+        # drain — and, with no per-cycle predicate, the machine can
+        # batch quiet fabric windows (see Fabric.advance).
         machine.run(max_cycles=max_cycles)
     else:
         machine.run(
@@ -555,7 +555,7 @@ def run_ping(
 
     ``stop="quiescent"`` runs to machine quiescence instead of stopping
     the moment the done flag is observed; cycle counts then include the
-    final drain, and the run may use the parallel backend.
+    final drain.
     """
     responder = requester if responder is None else responder
     program = _setup(machine, requester, responder, iterations, 0, True)

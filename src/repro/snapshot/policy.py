@@ -2,11 +2,10 @@
 
 A :class:`CheckpointPolicy` is handed to a simulator via its
 ``checkpoint`` attribute; the run loops consult it at their safe points
-(the serial cycle loop's top, the macro event loop's top, the parallel
-coordinator's epoch-barrier idle jumps) and call :meth:`save` when
-:meth:`due` says so.  The policy deliberately knows nothing about the
-simulator beyond its ``save(path, run_limit=...)`` method, so one class
-serves both levels and the parallel backend.
+(the cycle loop's top, the macro event loop's top) and call
+:meth:`save` when :meth:`due` says so.  The policy deliberately knows
+nothing about the simulator beyond its ``save(path, run_limit=...)``
+method, so one class serves both levels.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ instruments (pull sources re-derive from restored counters), and
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import SnapshotError
@@ -57,8 +58,7 @@ PROC_EXTERNAL_ATTRS = frozenset({
 #: tests/snapshot/test_contract.py so new machine attributes must be
 #: classified before they can ship.
 MACHINE_CAPTURED_ATTRS = frozenset({
-    "config", "now", "_seq", "deliveries_committed", "parallel_shards",
-    "_parallel_skip_reason", "_parallel_skips", "nodes", "_proc_heap",
+    "config", "now", "_seq", "deliveries_committed", "nodes", "_proc_heap",
     "_delivery_heap", "_staged_messages", "_staged_words_per_node",
     "fabric", "chaos", "watchdog", "telemetry",
 })
@@ -172,9 +172,6 @@ def capture_machine(machine) -> dict:
         "now": machine.now,
         "seq": machine._seq,
         "deliveries_committed": machine.deliveries_committed,
-        "parallel_shards": machine.parallel_shards,
-        "parallel_skip_reason": machine._parallel_skip_reason,
-        "parallel_skips": machine._parallel_skips,
         "nodes": nodes,
         "proc_heap": list(machine._proc_heap),
         "deliveries": deliveries,
@@ -194,7 +191,14 @@ def restore_machine(payload: dict):
     """Rebuild a ``JMachine`` from a :func:`capture_machine` payload."""
     from ..machine.jmachine import JMachine
 
-    machine = JMachine(payload["config"],
+    config = payload["config"]
+    # Older captures may carry machine keys this function no longer
+    # reads (ignored) and config fields that have since been removed
+    # (unpickled as stray instance attributes); drop the latter so the
+    # restored config is a current one.
+    for name in set(vars(config)) - {f.name for f in fields(config)}:
+        del vars(config)[name]
+    machine = JMachine(config,
                        telemetry=_restore_telemetry(payload["telemetry"]))
     if len(payload["nodes"]) != machine.mesh.n_nodes:
         raise SnapshotError(
@@ -203,9 +207,6 @@ def restore_machine(payload: dict):
     machine.now = payload["now"]
     machine._seq = payload["seq"]
     machine.deliveries_committed = payload["deliveries_committed"]
-    machine.parallel_shards = payload["parallel_shards"]
-    machine._parallel_skip_reason = payload["parallel_skip_reason"]
-    machine._parallel_skips = payload["parallel_skips"]
     for node, state in zip(machine.nodes, payload["nodes"]):
         # Install into the *existing* processor object so the wiring
         # established at construction (interface trace hooks, the

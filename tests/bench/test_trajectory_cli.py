@@ -124,6 +124,26 @@ class TestMain:
         assert main(["--no-gate", path]) == 0
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_retired_series_is_not_gated(self, tmp_path, capsys):
+        """A deleted benchmark's last point regressed, but the newest
+        entry no longer carries the series: it renders as retired and
+        the gate passes."""
+        entries = [{"datetime": f"2026-08-0{i + 1}T00:00:00",
+                    "benchmarks": {"test_kept": {"min": 1.0},
+                                   "test_gone": {"min": value}}}
+                   for i, value in enumerate([1.0] * MIN_PRIOR_POINTS
+                                             + [2.0])]
+        entries.append({"datetime": "2026-08-09T00:00:00",
+                        "benchmarks": {"test_kept": {"min": 1.0}}})
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps({"trajectory": entries}))
+        gated, _ = load_series(str(path))
+        assert check_series(gated["test_gone"][:-1])[0] == "REGRESSION"
+        assert check_series(gated["test_gone"]) == ("retired", None)
+        assert main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "retired" in out and "REGRESSION" not in out
+
     def test_unreadable_artifact_exits_two(self, tmp_path):
         assert main([str(tmp_path / "missing.json")]) == 2
 

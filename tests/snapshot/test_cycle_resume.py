@@ -1,10 +1,10 @@
-"""Cycle-level checkpoint/resume: bit-identical on both backends.
+"""Cycle-level checkpoint/resume: bit-identical to uninterrupted runs.
 
 The determinism contract (docs/SNAPSHOT.md): checkpoint at any safe
 point, restore in a fresh machine, run to the end — final architectural
 state AND the sha256 telemetry event-stream digest match the
-uninterrupted run exactly.  Enforced serially, under an active chaos
-plan, and across the parallel backend's epoch-barrier pause points.
+uninterrupted run exactly.  Enforced plainly, under an active chaos
+plan, and for files written before the capture dropped keys.
 """
 
 import pytest
@@ -16,7 +16,8 @@ from repro.core.registers import Priority
 from repro.core.word import Word
 from repro.machine.config import MachineConfig
 from repro.machine.jmachine import JMachine
-from repro.snapshot import CheckpointPolicy, load_machine, read_header
+from repro.snapshot import (CheckpointPolicy, load_machine, read_header,
+                            read_snapshot, write_snapshot)
 from repro.telemetry import Telemetry
 
 ECHO = """
@@ -33,10 +34,8 @@ landing:
 STALL_SPECS = (FaultSpec(kind="stall", node=2, start=30, duration=40),)
 
 
-def _build(shards=0, specs=()):
-    machine = JMachine(
-        MachineConfig(dims=(4, 2, 1), parallel_shards=shards),
-        telemetry=Telemetry())
+def _build(specs=()):
+    machine = JMachine(MachineConfig(dims=(4, 2, 1)), telemetry=Telemetry())
     program = assemble(ECHO)
     machine.load(program)
     base = program.end + 4
@@ -69,10 +68,10 @@ def _digest(machine):
     }
 
 
-def _interrupted(tmp_path, specs=(), shards=0, every=40):
+def _interrupted(tmp_path, specs=(), every=40):
     """Run with checkpointing, 'crash', restore, finish; both digests."""
     path = str(tmp_path / "cycle.ckpt")
-    first = _build(shards=shards, specs=specs)
+    first = _build(specs=specs)
     first.checkpoint = CheckpointPolicy(path, every=every)
     first.run(max_cycles=20_000)
     assert first.checkpoint.saves >= 1, "checkpoint policy never fired"
@@ -136,24 +135,33 @@ class TestSerialResume:
         assert _digest(third) == _digest(reference)
 
 
-class TestParallelResume:
-    def test_pause_and_resume_bit_identical(self, tmp_path):
-        """The coordinator pauses at an epoch-barrier idle point, the
-        segments partition the event stream, and a fresh process resumes
-        to the exact digest of an unpaused parallel run."""
-        reference = _build(shards=2, specs=STALL_SPECS)
+class TestOlderCaptures:
+    def test_removed_backend_keys_are_ignored(self, tmp_path):
+        """FORMAT_VERSION 1 files from before the sharded backend and
+        the numpy lanes were removed carry a ``parallel_shards`` config
+        field, three ``parallel_*`` machine keys and the fabric's
+        ``vector_threshold``; they still resume digest-exactly."""
+        reference = _build(specs=STALL_SPECS)
         reference.run(max_cycles=20_000)
-        assert reference._parallel_skip_reason is None
-        finished, resumed = _interrupted(
-            tmp_path, specs=STALL_SPECS, shards=2, every=15)
-        assert finished == _digest(reference)
-        assert resumed == _digest(reference)
 
-    def test_resumed_machine_keeps_parallel_backend(self, tmp_path):
-        path = str(tmp_path / "par.ckpt")
-        machine = _build(shards=2, specs=STALL_SPECS)
-        machine.checkpoint = CheckpointPolicy(path, every=15)
-        machine.run(max_cycles=20_000)
-        assert machine.checkpoint.saves >= 1
-        resumed = load_machine(path)
-        assert resumed.parallel_shards == 2
+        path = str(tmp_path / "new.ckpt")
+        first = _build(specs=STALL_SPECS)
+        first.checkpoint = CheckpointPolicy(path, every=40)
+        first.run(max_cycles=20_000)
+        header, payload = read_snapshot(path)
+        # Pickling the config with the extra instance attribute writes
+        # exactly what a dataclass with that field used to write.
+        payload["config"].__dict__["parallel_shards"] = 2
+        payload["parallel_shards"] = 2
+        payload["parallel_skip_reason"] = None
+        payload["parallel_skips"] = 1
+        payload["fabric"]["vector_threshold"] = 24
+        old_path = str(tmp_path / "old.ckpt")
+        write_snapshot(old_path, "cycle", payload, meta=header["meta"])
+        assert read_snapshot(old_path)[1]["config"].parallel_shards == 2
+
+        resumed = load_machine(old_path)
+        assert resumed.config == MachineConfig(dims=(4, 2, 1))
+        assert "parallel_shards" not in vars(resumed.config)
+        resumed.run(max_cycles=20_000)
+        assert _digest(resumed) == _digest(reference)

@@ -52,7 +52,7 @@ class TestRenderFrame:
         assert "3" in text
 
     def test_minimal_frame_renders_without_nodes(self):
-        point = SamplePoint(0, 0, 0.0, "parallel", {"machine.cycles": 0.0},
+        point = SamplePoint(0, 0, 0.0, "serial", {"machine.cycles": 0.0},
                             {})
         text = render_frame(point)
         assert "J-Machine live" in text
