@@ -11,6 +11,8 @@ Three end-to-end properties of the fabric observatory:
 * **Zero-cost-off / bit-identical-on** — the same seeded workload run
   with and without a probe attached produces byte-identical event
   streams (``event_fingerprint``): observation never perturbs the run.
+  A saturated random-traffic point, where most worms sit parked behind
+  busy channels, gives identical statistics and results either way.
 * **Calibration** — the flit-measured load sweep fits the macro
   model's contention scale and the fitted residuals do not regress.
 
@@ -38,6 +40,7 @@ from repro.machine.jmachine import JMachine  # noqa: E402
 from repro.network.fabric import Fabric  # noqa: E402
 from repro.network.observatory import FabricReport, link_name  # noqa: E402
 from repro.network.topology import Mesh3D  # noqa: E402
+from repro.network.traffic import RandomTrafficExperiment  # noqa: E402
 from repro.runtime.rpc import run_ping  # noqa: E402
 from repro.telemetry import Telemetry  # noqa: E402
 
@@ -114,6 +117,29 @@ def check_digest_identical() -> None:
     print(f"fabric-smoke: digest OK — probe on/off both {digest_off[:16]}…")
 
 
+def _saturated_point(probe: bool):
+    experiment = RandomTrafficExperiment(Mesh3D(6, 6, 6), 16, 0, seed=3)
+    if probe:
+        experiment.fabric.attach_probe()
+    result = experiment.run(500, 1500)
+    stats = experiment.fabric.stats
+    return (result, stats.submitted, stats.completed, stats.block_cycles,
+            stats.delivery_stall_cycles, stats.latency.buckets,
+            stats.window_latency.buckets), experiment.fabric.probe
+
+
+def check_parked_probe_identical() -> None:
+    plain, _ = _saturated_point(probe=False)
+    probed, probe = _saturated_point(probe=True)
+    assert probed == plain, (
+        "attaching a fabric probe changed a saturated point's stats — "
+        "parked worms must be observed, not perturbed")
+    assert probe.stall_channel_busy == plain[3], (
+        "probe channel-busy stalls must equal the fabric's block cycles")
+    print(f"fabric-smoke: saturated probe OK — {plain[3]} block cycles, "
+          f"{plain[0].iterations} round trips either way")
+
+
 def check_calibration() -> None:
     result = calibrate(warmup_cycles=1500, measure_cycles=4000)
     print(result.format())
@@ -135,6 +161,7 @@ def main() -> int:
     parser.parse_args()
     check_hotspot()
     check_digest_identical()
+    check_parked_probe_identical()
     check_calibration()
     print("fabric-smoke: OK")
     return 0

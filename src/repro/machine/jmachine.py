@@ -353,9 +353,10 @@ class JMachine:
         fabric = self.fabric
         # Quiet-window batching: while nothing but the fabric has
         # work scheduled, hand it a whole window of cycles at once
-        # (see Fabric.advance).  Gated off whenever any per-cycle
-        # observer is installed, which keeps those paths on the
-        # exact reference interleaving.
+        # (see Fabric.advance).  Gated off whenever a machine-level
+        # per-cycle observer is installed (an ``until`` predicate, the
+        # deadlock watchdog, an armed chaos plan), which keeps those
+        # paths on the exact reference interleaving.
         batchable = until is None and watchdog is None
         checkpoint = self.checkpoint
         sampler = self.sampler
@@ -376,7 +377,7 @@ class JMachine:
                 self._commit_deliveries()
                 inj_bound = None
                 if fabric.active:
-                    if batchable and chaos is None and fabric.can_batch():
+                    if batchable and chaos is None:
                         horizon = limit
                         heap = self._delivery_heap
                         if heap and heap[0][0] < horizon:

@@ -19,9 +19,6 @@ went.  This module adds the missing layer:
     :class:`~repro.network.stats.LatencySummary`'s mergeable fixed
     buckets.
 
-  Probes merge exactly (:meth:`FabricProbe.merge`): the counters of a
-  run split into segments fold back into those of the whole run.
-
 * :class:`FabricReport` — the analyzer over a probe: top-k saturated
   links, midplane vs. off-midplane split (same X-midplane convention as
   :meth:`~repro.network.topology.Mesh3D.bisection_channels`), stall
@@ -113,8 +110,8 @@ class FabricProbe:
     histograms, so it deep-copies and pickles cheaply — the snapshot
     layer captures it with :meth:`Fabric.state_dict`.
 
-    Accumulation sites (all in ``fabric.py``/``vectorize.py``, all
-    behind ``probe is None`` guards):
+    Accumulation sites (all in ``fabric.py``, all behind ``probe is
+    None`` guards):
 
     * :meth:`record_completion` — message delivered: every phit crossed
       every mesh channel of the path exactly once.
@@ -204,31 +201,6 @@ class FabricProbe:
         for summary in self.queue_occupancy.values():
             merged.merge(summary)
         return merged
-
-    # -- merge (the multi-run currency) --------------------------------------
-
-    def merge(self, other: "FabricProbe") -> None:
-        """Fold another probe's counters into this one, exactly."""
-        self.messages += other.messages
-        for field in ("link_phits", "link_messages", "link_blocked"):
-            mine = getattr(self, field)
-            for link, n in getattr(other, field).items():
-                mine[link] = mine.get(link, 0) + n
-        for dim in range(3):
-            self.dim_hops[dim] += other.dim_hops[dim]
-            self.dim_phits[dim] += other.dim_phits[dim]
-        self.stall_channel_busy += other.stall_channel_busy
-        self.stall_link_outage += other.stall_link_outage
-        self.stall_backpressure += other.stall_backpressure
-        for node, n in other.node_backpressure.items():
-            self.node_backpressure[node] = (
-                self.node_backpressure.get(node, 0) + n)
-        for node, summary in other.queue_occupancy.items():
-            mine = self.queue_occupancy.get(node)
-            if mine is None:
-                mine = self.queue_occupancy[node] = LatencySummary(
-                    QUEUE_OCCUPANCY_BOUNDS)
-            mine.merge(summary)
 
     # -- serialization ------------------------------------------------------
 

@@ -88,6 +88,12 @@ class RandomTrafficExperiment:
         self.costs = costs
         self.rng = random.Random(seed)
         self.fabric = Fabric(mesh, self._accept, self._deliver, costs=costs)
+        # Words are immutable and messages keep a tuple, so every message
+        # with one header shares one payload.
+        self._payloads = {
+            ip: (Word.ip(ip),) + (Word.from_int(0),) * (message_words - 1)
+            for ip in (_REQUEST_IP, _ACK_IP)
+        }
         self._events: List[Tuple[int, int, int, int]] = []  # (time, seq, kind, node)
         self._event_seq = 0
         self._iter_start: Dict[int, int] = {}
@@ -119,10 +125,8 @@ class RandomTrafficExperiment:
         self._event_seq += 1
 
     def _message(self, source: int, dest: int, header_ip: int) -> Message:
-        words = [Word.ip(header_ip)] + [
-            Word.from_int(0) for _ in range(self.message_words - 1)
-        ]
-        return Message(words, source=source, dest=dest, priority=Priority.P0)
+        return Message(self._payloads[header_ip], source=source, dest=dest,
+                       priority=Priority.P0)
 
     def _random_dest(self, source: int) -> int:
         n = self.mesh.n_nodes
@@ -232,6 +236,8 @@ class TerminalBandwidthExperiment:
         self.pipeline_depth = pipeline_depth
         self.mesh = Mesh3D(2, 1, 1)
         self.fabric = Fabric(self.mesh, self._accept, self._deliver, costs=costs)
+        self._payload = (Word.ip(0),) + tuple(
+            Word.from_int(i) for i in range(message_words - 1))
         self._queued_words = 0
         self._pending_service: List[int] = []  # message lengths awaiting sink
         self._service_busy_until = 0
@@ -279,12 +285,8 @@ class TerminalBandwidthExperiment:
                 self._delivered_words = 0
             # Keep the source's injection pipeline full.
             while self._in_flight < self.pipeline_depth:
-                words = [Word.ip(0)] + [
-                    Word.from_int(i) for i in range(self.message_words - 1)
-                ]
-                self.fabric.send(
-                    Message(words, source=0, dest=1, priority=Priority.P0), now
-                )
+                self.fabric.send(Message(self._payload, source=0, dest=1,
+                                         priority=Priority.P0), now)
                 self._in_flight += 1
                 message_count += 1
             self._service(now)

@@ -165,3 +165,30 @@ class TestOlderCaptures:
         assert "parallel_shards" not in vars(resumed.config)
         resumed.run(max_cycles=20_000)
         assert _digest(resumed) == _digest(reference)
+
+    def test_worms_from_before_the_event_driven_fabric(self, tmp_path):
+        """Worms pickled before the fabric parked and streamed them lack
+        the scheduler's slots; such a capture, taken while worms stream
+        through the mesh, still resumes digest-exactly."""
+        reference = _build(specs=STALL_SPECS)
+        reference.run(max_cycles=20_000)
+
+        first = _build(specs=STALL_SPECS)
+        first.checkpoint = CheckpointPolicy(
+            str(tmp_path / "c_{cycle}.ckpt"), every=15)
+        first.run(max_cycles=20_000)
+        header, payload = read_snapshot(str(tmp_path / "c_30.ckpt"))
+        fabric = payload["fabric"]
+        worms = list(fabric["active"]) + [w for _, _, w in fabric["staged"]]
+        worms += [w for queue in fabric["pending"].values() for w in queue]
+        assert len(fabric["active"]) >= 4
+        for worm in worms:
+            for slot in ("state", "since", "wait", "wake_at", "watched"):
+                delattr(worm, slot)
+        old_path = str(tmp_path / "old.ckpt")
+        write_snapshot(old_path, "cycle", payload, meta=header["meta"])
+
+        resumed = load_machine(old_path)
+        resumed.run(max_cycles=20_000)
+        assert _digest(resumed) == _digest(reference)
+
